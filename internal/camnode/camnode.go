@@ -542,7 +542,7 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 			firstSeen = append(firstSeen, det.TruthID)
 		}
 	}
-	departed := n.tracker.ConfirmedDeparted(res.Departed)
+	departed := n.confirmedDeparted(res.Departed)
 	n.mu.Unlock()
 
 	if n.cfg.Hooks.OnFirstSeen != nil {
@@ -597,7 +597,7 @@ func (n *Node) Flush() error {
 func (n *Node) FlushContext(ctx context.Context) error {
 	n.mu.Lock()
 	flushed := n.tracker.Flush()
-	departed := n.tracker.ConfirmedDeparted(flushed)
+	departed := n.confirmedDeparted(flushed)
 	n.mu.Unlock()
 	for _, tr := range departed {
 		if err := n.emitEvent(ctx, tr, frameTiming{}); err != nil {
@@ -612,6 +612,24 @@ func (n *Node) FlushContext(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// confirmedDeparted filters departed tracks to the confirmed ones, which
+// emitEvent turns into events, and frees the signatures of the rest (such
+// as detector false positives), which would otherwise never be released.
+// The caller holds n.mu.
+func (n *Node) confirmedDeparted(departed []*tracker.Track) []*tracker.Track {
+	confirmed := n.tracker.ConfirmedDeparted(departed)
+	// ConfirmedDeparted keeps order, so one walk pairs the two slices.
+	i := 0
+	for _, tr := range departed {
+		if i < len(confirmed) && confirmed[i] == tr {
+			i++
+			continue
+		}
+		delete(n.accum, tr.ID)
+	}
+	return confirmed
 }
 
 // emitEvent turns a departed track into a detection event: signature and

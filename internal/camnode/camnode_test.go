@@ -335,6 +335,57 @@ func TestFlushEmitsLiveTracks(t *testing.T) {
 	}
 }
 
+// TestUnconfirmedTracksFreeSignatures guards against leaking the
+// signature accumulators of tracks that depart before MinHits (detector
+// false positives, say): they never become events, so emitEvent never
+// frees them, whether they depart mid-stream or at the end-of-stream flush.
+func TestUnconfirmedTracksFreeSignatures(t *testing.T) {
+	bus := transport.NewBus()
+	store := trajstore.NewMemStore()
+	var events int
+	cfg := nodeConfig("camA", store)
+	cfg.Hooks.OnEvent = func(protocol.DetectionEvent, bool, protocol.EventID, float64) { events++ }
+	n := newTestNode(t, bus, "camA", cfg)
+	signatures := func() int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.accum)
+	}
+
+	// Two hits, below MinHits 3, then enough empty frames to depart.
+	seq := int64(0)
+	for ; seq < 2; seq++ {
+		if err := n.ProcessFrame(makeFrame("camA", seq, 10+int(seq)*10, "blip-1", imaging.Red)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := signatures(); got != 1 {
+		t.Fatalf("signatures while the track is live = %d, want 1", got)
+	}
+	for end := seq + 6; seq < end; seq++ { // > MaxAge empty frames
+		if err := n.ProcessFrame(makeFrame("camA", seq, 0, "", imaging.Red)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := signatures(); got != 0 {
+		t.Errorf("signatures after an unconfirmed departure = %d, want 0", got)
+	}
+
+	// One hit, then end of stream.
+	if err := n.ProcessFrame(makeFrame("camA", seq, 100, "blip-2", imaging.Blue)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := signatures(); got != 0 {
+		t.Errorf("signatures after flushing an unconfirmed track = %d, want 0", got)
+	}
+	if events != 0 {
+		t.Errorf("events = %d, want 0 (no track reached MinHits)", events)
+	}
+}
+
 func TestOnFirstSeenHook(t *testing.T) {
 	bus := transport.NewBus()
 	store := trajstore.NewMemStore()

@@ -50,8 +50,9 @@ func TestRealtimeSourceValidation(t *testing.T) {
 func TestRealtimeSourceStreamsAndEnds(t *testing.T) {
 	cam := newRealtimeFixture(t)
 	// Virtual clock injection: no real sleeping.
-	now := time.Unix(1000, 0)
-	src, err := NewRealtimeSourceAt(cam, now, time.Second)
+	start := time.Unix(1000, 0)
+	now := start
+	src, err := NewRealtimeSourceAt(cam, start, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +75,11 @@ func TestRealtimeSourceStreamsAndEnds(t *testing.T) {
 		}
 		if f.Seq != lastSeq+1 {
 			t.Fatalf("seq jumped %d -> %d", lastSeq, f.Seq)
+		}
+		// Frame k is stamped with its wall-clock due instant, not the
+		// world's virtual epoch.
+		if want := start.Add(time.Duration(frames) * src.interval); !f.Time.Equal(want) {
+			t.Fatalf("frame %d stamped %v, want %v", frames, f.Time, want)
 		}
 		lastSeq = f.Seq
 		frames++

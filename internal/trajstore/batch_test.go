@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -399,9 +400,16 @@ func TestClientAddBatchRoundTrip(t *testing.T) {
 type fakeBatchClient struct {
 	mu        sync.Mutex
 	calls     int
-	failFirst int   // transport-fail this many leading calls
-	recErr    error // per-record error applied to every record
-	got       [][]protocol.TrajWrite
+	failFirst int                    // transport-fail this many leading calls
+	recErr    error                  // per-record error applied to every record
+	hook      func(call int)         // if set, runs at the start of each call, unlocked
+	got       [][]protocol.TrajWrite // delivered batches
+	tried     []triedBatch           // every call, failed ones included
+}
+
+type triedBatch struct {
+	at     time.Time
+	writes []protocol.TrajWrite
 }
 
 func (f *fakeBatchClient) AddVertexContext(ctx context.Context, e protocol.DetectionEvent) (int64, error) {
@@ -409,13 +417,21 @@ func (f *fakeBatchClient) AddVertexContext(ctx context.Context, e protocol.Detec
 }
 
 func (f *fakeBatchClient) AddBatchContext(ctx context.Context, writes []protocol.TrajWrite) ([]int64, []error, error) {
+	cp := append([]protocol.TrajWrite(nil), writes...)
+	f.mu.Lock()
+	f.calls++
+	call := f.calls
+	f.tried = append(f.tried, triedBatch{at: time.Now(), writes: cp})
+	f.mu.Unlock()
+	if f.hook != nil {
+		f.hook(call)
+	}
+
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.calls++
-	if f.calls <= f.failFirst {
+	if call <= f.failFirst {
 		return nil, nil, errors.New("transport down")
 	}
-	cp := append([]protocol.TrajWrite(nil), writes...)
 	f.got = append(f.got, cp)
 	errs := make([]error, len(writes))
 	for i := range errs {
@@ -436,7 +452,7 @@ func (f *fakeBatchClient) delivered() int {
 
 func TestBatchWriterFlushesOnClose(t *testing.T) {
 	fc := &fakeBatchClient{}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 100, MaxAge: time.Hour})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 100})
 	var mu sync.Mutex
 	var results []error
 	for i := 0; i < 10; i++ {
@@ -466,7 +482,7 @@ func TestBatchWriterFlushesOnClose(t *testing.T) {
 
 func TestBatchWriterRetriesTransportErrors(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 2}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour, MaxRetries: 3})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 3})
 	errCh := make(chan error, 1)
 	w.QueueEdge(1, 2, 0.1, func(err error) { errCh <- err })
 	if err := w.Flush(context.Background()); err != nil {
@@ -482,7 +498,7 @@ func TestBatchWriterRetriesTransportErrors(t *testing.T) {
 
 func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 100}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour, MaxRetries: 1})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 1})
 	errCh := make(chan error, 1)
 	w.QueueEdge(1, 2, 0.1, func(err error) { errCh <- err })
 	if err := w.Flush(context.Background()); err != nil {
@@ -499,7 +515,7 @@ func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 func TestBatchWriterSurfacesPerRecordErrors(t *testing.T) {
 	recErr := errors.New("edge exists")
 	fc := &fakeBatchClient{recErr: recErr}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	err := w.AddEdge(1, 2, 0.1)
 	if !errors.Is(err, recErr) {
 		t.Errorf("AddEdge = %v, want scripted per-record error", err)
@@ -528,7 +544,7 @@ func TestBatchWriterQueueAfterCloseFails(t *testing.T) {
 
 func TestBatchWriterSizeTrigger(t *testing.T) {
 	fc := &fakeBatchClient{}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	defer func() { _ = w.Close() }()
 	var wg sync.WaitGroup
 	wg.Add(8)
@@ -540,6 +556,171 @@ func TestBatchWriterSizeTrigger(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("size-triggered flush never delivered the queued edges")
+		t.Fatal("the flusher never delivered the queued edges")
+	}
+}
+
+// TestBatchWriterCoalescesWhileInFlight pins the send-when-idle rule: the
+// first edge goes out alone at once, and edges queued while that RPC is in
+// flight go out together as soon as it returns, split at MaxBatch.
+func TestBatchWriterCoalescesWhileInFlight(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	fc := &fakeBatchClient{hook: func(call int) {
+		if call == 1 {
+			close(entered)
+			<-release
+		}
+	}}
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
+	defer func() { _ = w.Close() }()
+	var wg sync.WaitGroup
+	wg.Add(7)
+	w.QueueEdge(0, 1, 0.1, func(error) { wg.Done() })
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a lone queued edge was never sent")
+	}
+	for i := int64(1); i <= 6; i++ {
+		w.QueueEdge(i, i+1, 0.1, func(error) { wg.Done() })
+	}
+	close(release)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("edges queued during the in-flight batch were never sent")
+	}
+
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	want := [][]int64{{0}, {1, 2, 3, 4}, {5, 6}}
+	if len(fc.got) != len(want) {
+		t.Fatalf("got %d batches, want %d: %v", len(fc.got), len(want), fc.got)
+	}
+	for b, batch := range fc.got {
+		if len(batch) != len(want[b]) {
+			t.Fatalf("batch %d has %d edges, want %v", b, len(batch), want[b])
+		}
+		for i, wr := range batch {
+			if wr.From != want[b][i] {
+				t.Errorf("batch %d edge %d from %d, want %d", b, i, wr.From, want[b][i])
+			}
+		}
+	}
+}
+
+// TestBatchWriterSendsLoneEdgesAtOnce asserts an idle writer does not
+// hold a queued edge back: twenty edges queued one at a time, each after
+// the previous one was acknowledged, finish far sooner than twenty waits
+// on any batching window would allow.
+func TestBatchWriterSendsLoneEdgesAtOnce(t *testing.T) {
+	const edges = 20
+	fc := &fakeBatchClient{}
+	w := NewBatchWriter(fc, BatchWriterConfig{})
+	defer func() { _ = w.Close() }()
+	start := time.Now()
+	for i := int64(0); i < edges; i++ {
+		acked := make(chan error, 1)
+		w.QueueEdge(i, i+1, 0.1, func(err error) { acked <- err })
+		select {
+		case err := <-acked:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("edge %d was never sent", i)
+		}
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("%d sequential lone edges took %v; the writer is holding edges back", edges, took)
+	}
+}
+
+// TestBatchWriterBacksOffAfterTransportFailure asserts a dead server is
+// not hammered: each edge makes exactly MaxRetries+1 attempts, and the
+// background flusher spaces them by retryBackoff.
+func TestBatchWriterBacksOffAfterTransportFailure(t *testing.T) {
+	const retries, edges = 2, 3
+	fc := &fakeBatchClient{failFirst: 1 << 30}
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: retries})
+	defer func() { _ = w.Close() }()
+	errs := make(chan error, edges)
+	for i := int64(0); i < edges; i++ {
+		w.QueueEdge(i, i+1, 0.1, func(err error) { errs <- err })
+	}
+	for i := 0; i < edges; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Error("an edge that was never delivered reported success")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("exhausted edges never had their callbacks invoked")
+		}
+	}
+
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	attempts := make(map[int64][]time.Time)
+	for _, tb := range fc.tried {
+		for _, wr := range tb.writes {
+			attempts[wr.From] = append(attempts[wr.From], tb.at)
+		}
+	}
+	for from := int64(0); from < edges; from++ {
+		at := attempts[from]
+		if len(at) != retries+1 {
+			t.Errorf("edge %d made %d attempts, want %d", from, len(at), retries+1)
+		}
+		for i := 1; i < len(at); i++ {
+			if gap := at[i].Sub(at[i-1]); gap < retryBackoff {
+				t.Errorf("edge %d retried after %v, want at least %v", from, gap, retryBackoff)
+			}
+		}
+	}
+}
+
+// TestBatchWriterConcurrentQueueAndClose races many producers against
+// Close, which starts once twenty batch RPCs have gone out. Early
+// transport failures and a small MaxBatch drive producers into retries and
+// inline flushes: every done callback must fire exactly once, whether the
+// edge was delivered, exhausted or refused as closed.
+func TestBatchWriterConcurrentQueueAndClose(t *testing.T) {
+	const producers, perProducer = 8, 200
+	busy := make(chan struct{})
+	fc := &fakeBatchClient{failFirst: 3, hook: func(call int) {
+		if call == 20 {
+			close(busy)
+		}
+	}}
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 2})
+	var fired [producers * perProducer]atomic.Int32
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				k := p*perProducer + i
+				w.QueueEdge(int64(k), int64(k+1), 0.1, func(error) { fired[k].Add(1) })
+			}
+		}(p)
+	}
+	select {
+	case <-busy:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer never sent twenty batches")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	for k := range fired {
+		if n := fired[k].Load(); n != 1 {
+			t.Errorf("edge %d: done fired %d times, want 1", k, n)
+		}
 	}
 }

@@ -19,12 +19,9 @@ type BatchClient interface {
 
 // BatchWriterConfig tunes the client-side edge write buffer.
 type BatchWriterConfig struct {
-	// MaxBatch is the queue depth that triggers an asynchronous flush.
+	// MaxBatch caps how many queued edges one batch RPC carries.
 	// Default 64.
 	MaxBatch int
-	// MaxAge is how long a queued edge may wait before an age-triggered
-	// flush picks it up. Default 50ms.
-	MaxAge time.Duration
 	// MaxRetries bounds how many times a transport-failed edge is
 	// re-queued before its error is surfaced to the done callback.
 	// Server-side per-record rejections are terminal and never retried.
@@ -38,9 +35,6 @@ func (c BatchWriterConfig) withDefaults() BatchWriterConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 50 * time.Millisecond
-	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	} else if c.MaxRetries == 0 {
@@ -51,6 +45,10 @@ func (c BatchWriterConfig) withDefaults() BatchWriterConfig {
 	}
 	return c
 }
+
+// retryBackoff is how long the background flusher waits after a transport
+// failure before resending, so a dead server is not hammered.
+const retryBackoff = 50 * time.Millisecond
 
 // ErrWriterClosed is returned to done callbacks for edges still queued
 // when the BatchWriter is closed and the final drain fails, and by
@@ -65,10 +63,11 @@ type queuedEdge struct {
 	attempts int
 }
 
-// BatchWriter buffers edge inserts client-side and flushes them through
-// the add_batch RPC on size or age triggers, so a camera's handoff edges
-// stop paying one round trip each. Vertex inserts pass through
-// synchronously (their IDs gate downstream work) but still ride the
+// BatchWriter buffers edge inserts client-side and sends them through the
+// add_batch RPC whenever its flusher is idle: a queued edge goes out at
+// once, and edges queued while a batch is in flight ride the next one, so
+// batches grow with load and no edge waits on a timer. Vertex inserts pass
+// through synchronously (their IDs gate downstream work) but still ride the
 // server's group commit under load. Each queued edge carries an optional
 // done callback that receives the edge's final error — nil on success,
 // the server's rejection for per-record failures, or the last transport
@@ -118,7 +117,7 @@ func (w *BatchWriter) AddVertex(e protocol.DetectionEvent) (int64, error) {
 
 // QueueEdge enqueues an edge insert for asynchronous delivery. done (may
 // be nil) is invoked exactly once with the edge's final error. If the
-// queue is far over the flush threshold the caller is backpressured into
+// queue is far over MaxBatch the caller is backpressured into
 // flushing inline rather than growing the buffer without bound.
 func (w *BatchWriter) QueueEdge(from, to int64, weight float64, done func(error)) {
 	w.queueEdge(queuedEdge{from: from, to: to, weight: weight, done: done})
@@ -150,11 +149,14 @@ func (w *BatchWriter) queueEdge(qe queuedEdge) {
 		w.flushOnce(context.Background())
 		return
 	}
-	if n >= w.cfg.MaxBatch {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+	w.wake()
+}
+
+// wake nudges the background flusher; kicks coalesce while it is busy.
+func (w *BatchWriter) wake() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -163,12 +165,6 @@ func (w *BatchWriter) queueEdge(qe queuedEdge) {
 func (w *BatchWriter) AddEdge(from, to int64, weight float64) error {
 	ch := make(chan error, 1)
 	w.QueueEdge(from, to, weight, func(err error) { ch <- err })
-	// A synchronous caller should not sit out the age window: wake the
-	// flusher now.
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
 	// Every queued edge's done callback is invoked exactly once — by a
 	// flush, by retry exhaustion, or by Close's fail-closed drain — so
 	// this receive always terminates.
@@ -183,14 +179,17 @@ func (w *BatchWriter) Flush(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		w.mu.Lock()
-		n := len(w.queue)
-		w.mu.Unlock()
-		if n == 0 {
+		if w.pending() == 0 {
 			return nil
 		}
 		w.flushOnce(ctx)
 	}
+}
+
+func (w *BatchWriter) pending() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.queue)
 }
 
 // Err reports the most recent transport-level flush failure, or nil if
@@ -222,11 +221,14 @@ func (w *BatchWriter) Close() error {
 	defer cancel()
 	err := w.Flush(ctx)
 
-	// Anything still queued (context expired mid-drain) fails closed.
+	// Anything still queued (context expired mid-drain, or requeued by an
+	// in-flight inline flush, which flushMu waits out) fails closed.
+	w.flushMu.Lock()
 	w.mu.Lock()
 	rest := w.queue
 	w.queue = nil
 	w.mu.Unlock()
+	w.flushMu.Unlock()
 	for _, qe := range rest {
 		if qe.done != nil {
 			qe.done(ErrWriterClosed)
@@ -235,32 +237,40 @@ func (w *BatchWriter) Close() error {
 	return err
 }
 
+// run is the background flusher: one batch per kick, re-kicking itself
+// while edges remain queued and pausing after a transport failure.
 func (w *BatchWriter) run() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.MaxAge)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-w.stop:
 			return
 		case <-w.kick:
-		case <-ticker.C:
 		}
-		w.flushOnce(context.Background())
+		if w.flushOnce(context.Background()) != nil {
+			select {
+			case <-w.stop:
+				return
+			case <-time.After(retryBackoff):
+			}
+		}
+		if w.pending() > 0 {
+			w.wake()
+		}
 	}
 }
 
-// flushOnce sends one batch of queued edges. Transport failures re-queue
-// the whole batch (attempts++) until MaxRetries; per-record server
-// rejections are terminal.
-func (w *BatchWriter) flushOnce(ctx context.Context) {
+// flushOnce sends one batch of queued edges and returns the transport
+// error, if any. Transport failures re-queue the whole batch (attempts++)
+// until MaxRetries; per-record server rejections are terminal.
+func (w *BatchWriter) flushOnce(ctx context.Context) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 
 	w.mu.Lock()
 	if len(w.queue) == 0 {
 		w.mu.Unlock()
-		return
+		return nil
 	}
 	n := len(w.queue)
 	if n > w.cfg.MaxBatch {
@@ -304,7 +314,7 @@ func (w *BatchWriter) flushOnce(ctx context.Context) {
 			w.queue = append(requeue, w.queue...)
 			w.mu.Unlock()
 		}
-		return
+		return err
 	}
 	for i, qe := range batch {
 		var recErr error
@@ -315,16 +325,5 @@ func (w *BatchWriter) flushOnce(ctx context.Context) {
 			qe.done(recErr)
 		}
 	}
-
-	// A full batch may still be queued (the size kick is coalesced);
-	// re-arm the flusher rather than leaving it to the age tick.
-	w.mu.Lock()
-	left := len(w.queue)
-	w.mu.Unlock()
-	if left >= w.cfg.MaxBatch {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-	}
+	return nil
 }

@@ -27,6 +27,10 @@ type Bus struct {
 	latency   time.Duration
 	faults    rpc.ClientInterceptor
 	m         *endpointMetrics
+	// lossRNG serializes SetLossRate's RNG draws across successive fault
+	// middlewares: a Send still running the previous one shares the RNG
+	// with the next but not its lock.
+	lossRNG sync.Mutex
 
 	// ccall is the send chain bound once around transmit (see TCP.ccall).
 	ccall  rpc.Handler
@@ -185,7 +189,29 @@ func (b *Bus) SetLossRate(rate float64, rng *rand.Rand) error {
 	if rate > 0 && rng == nil {
 		return fmt.Errorf("transport: loss rate needs an RNG")
 	}
+	if rng != nil {
+		// Drawing through the wrapper yields rng's own sequence.
+		rng = rand.New(lockedSource{mu: &b.lossRNG, r: rng})
+	}
 	return b.InjectFaults(faultinject.Config{DropRate: rate, RNG: rng})
+}
+
+// lockedSource is a rand.Source over a *rand.Rand guarded by mu.
+type lockedSource struct {
+	mu *sync.Mutex
+	r  *rand.Rand
+}
+
+func (s lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.r.Int63()
+}
+
+func (s lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.r.Seed(seed)
 }
 
 // Dropped returns how many messages fault injection has discarded. The
